@@ -30,6 +30,14 @@ var benchProfile = bench.DeviceProfile{
 	BufferPoolPages: 48,
 }
 
+// benchOptions returns the shared experiment options shrunk to the Go
+// benchmarks' device, scale 1 and ops committed transactions per run.
+func benchOptions(ops int) bench.Options {
+	o := bench.Base()
+	o.Profile, o.Scale, o.Ops = benchProfile, 1, ops
+	return o
+}
+
 // reportTable1Row publishes one Table 1 configuration as benchmark metrics.
 func reportTable1Row(b *testing.B, row bench.Table1Row) {
 	b.Helper()
@@ -56,10 +64,11 @@ func table1Config(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, flash ipa
 			Scheme:   scheme,
 			Flash:    flash,
 			Ops:      5000,
+			Profile:  benchProfile,
 			Seed:     1,
 			Analytic: true,
-		}.ApplyProfile(benchProfile)
-		res, err := bench.Run(exp)
+		}
+		res, err := bench.RunWithDB(exp, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,30 +97,20 @@ func BenchmarkTable1TPCBIPA2x4OddMLC(b *testing.B) {
 // write-amplification of the traditional write path and the transfer
 // reduction achieved by write_delta, per workload.
 func BenchmarkFigure1WriteAmplification(b *testing.B) {
-	for _, wl := range []string{"tpcb", "tpcc", "tatp", "linkbench"} {
-		b.Run(wl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.Figure1(bench.Figure1Options{
-					Workloads: []string{wl},
-					Scale:     1,
-					Ops:       1200,
-					Profile:   benchProfile,
-					SchemeN:   2, SchemeM: 4,
-					Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Rows[0]
-					b.ReportMetric(100*row.SmallEvictionShare, "<100B-evictions%")
-					b.ReportMetric(row.AvgChangedBytes, "avgChangedBytes")
-					b.ReportMetric(row.WriteAmplification, "writeAmp")
-					b.ReportMetric(row.IPAReductionPct, "ipaTransferReduction%")
-					b.ReportMetric(100*row.IPAInPlaceShare, "ipaInPlace%")
-				}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.Figure1(benchOptions(1200))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			for _, row := range res.Rows {
+				b.ReportMetric(100*row.SmallEvictionShare, row.Workload+"-<100B-evictions%")
+				b.ReportMetric(row.AvgChangedBytes, row.Workload+"-avgChangedBytes")
+				b.ReportMetric(row.WriteAmplification, row.Workload+"-writeAmp")
+				b.ReportMetric(row.IPAReductionPct, row.Workload+"-ipaTransferReduction%")
+				b.ReportMetric(100*row.IPAInPlaceShare, row.Workload+"-ipaInPlace%")
 			}
-		})
+		}
 	}
 }
 
@@ -119,30 +118,20 @@ func BenchmarkFigure1WriteAmplification(b *testing.B) {
 // throughput gain and the reduction of invalidations, migrations and erases
 // of IPA over the traditional baseline for TPC-B, TPC-C and TATP.
 func BenchmarkOLTPSuite(b *testing.B) {
-	for _, wl := range []string{"tpcb", "tpcc", "tatp"} {
-		b.Run(wl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.Suite(bench.SuiteOptions{
-					Workloads: []string{wl},
-					Scale:     1,
-					Ops:       3000,
-					Profile:   benchProfile,
-					SchemeN:   2, SchemeM: 4,
-					Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Rows[0]
-					b.ReportMetric(row.Baseline.Throughput(), "baseTps")
-					b.ReportMetric(row.IPA.Throughput(), "ipaTps")
-					b.ReportMetric(row.ThroughputGainPct, "tpsGain%")
-					b.ReportMetric(row.InvalidationDropPct, "invalidationDrop%")
-					b.ReportMetric(row.EraseDropPct, "eraseDrop%")
-				}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.Suite(benchOptions(3000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			for _, row := range res.Rows {
+				b.ReportMetric(row.Baseline.Throughput(), row.Workload+"-baseTps")
+				b.ReportMetric(row.IPA.Throughput(), row.Workload+"-ipaTps")
+				b.ReportMetric(row.ThroughputGainPct, row.Workload+"-tpsGain%")
+				b.ReportMetric(row.InvalidationDropPct, row.Workload+"-invalidationDrop%")
+				b.ReportMetric(row.EraseDropPct, row.Workload+"-eraseDrop%")
 			}
-		})
+		}
 	}
 }
 
@@ -150,30 +139,20 @@ func BenchmarkOLTPSuite(b *testing.B) {
 // (experiment E4): Flash writes, reads and erases of both approaches on the
 // same eviction trace.
 func BenchmarkIPAvsIPL(b *testing.B) {
-	for _, wl := range []string{"tpcb", "tpcc", "tatp"} {
-		b.Run(wl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.IPLCompare(bench.IPLOptions{
-					Workloads: []string{wl},
-					Scale:     1,
-					Ops:       1200,
-					Profile:   benchProfile,
-					SchemeN:   2, SchemeM: 4,
-					Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Rows[0]
-					b.ReportMetric(float64(row.IPAFlashWrites), "ipaWrites")
-					b.ReportMetric(float64(row.IPLFlashWrites), "iplWrites")
-					b.ReportMetric(row.WriteReductionPct, "writeReduction%")
-					b.ReportMetric(row.EraseReductionPct, "eraseReduction%")
-					b.ReportMetric(row.ReadOverheadPct, "iplReadOverhead%")
-				}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.IPLCompare(benchOptions(1200))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			for _, row := range res.Rows {
+				b.ReportMetric(float64(row.IPAFlashWrites), row.Workload+"-ipaWrites")
+				b.ReportMetric(float64(row.IPLFlashWrites), row.Workload+"-iplWrites")
+				b.ReportMetric(row.WriteReductionPct, row.Workload+"-writeReduction%")
+				b.ReportMetric(row.EraseReductionPct, row.Workload+"-eraseReduction%")
+				b.ReportMetric(row.ReadOverheadPct, row.Workload+"-iplReadOverhead%")
 			}
-		})
+		}
 	}
 }
 
@@ -182,18 +161,12 @@ func BenchmarkIPAvsIPL(b *testing.B) {
 // rate per host write.
 func BenchmarkLongevity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Suite(bench.SuiteOptions{
-			Workloads: []string{"tpcb"},
-			Scale:     1,
-			Ops:       5000,
-			Profile:   benchProfile,
-			SchemeN:   2, SchemeM: 4,
-			Seed: 1,
-		})
+		res, err := bench.Suite(benchOptions(5000))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
+			// rows[0] and rows[1] are TPC-B's baseline and IPA projections.
 			rows := bench.Longevity(res)
 			b.ReportMetric(rows[0].ErasesPerWrite, "baseErases/write")
 			b.ReportMetric(rows[1].ErasesPerWrite, "ipaErases/write")
@@ -216,15 +189,9 @@ func BenchmarkSchemeSweep(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := bench.Sweep(bench.SweepOptions{
-					Workload: "tpcb",
-					Scale:    1,
-					Ops:      1000,
-					Profile:  benchProfile,
-					Ns:       []int{cfg.n},
-					Ms:       []int{cfg.m},
-					Seed:     1,
-				})
+				o := benchOptions(1000)
+				o.Ns, o.Ms = []int{cfg.n}, []int{cfg.m}
+				res, err := bench.Sweep(o)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -244,14 +211,7 @@ func BenchmarkSchemeSweep(b *testing.B) {
 // reports the transferred bytes and throughput of each.
 func BenchmarkScenarios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Scenarios(bench.ScenarioOptions{
-			Workload: "tpcb",
-			Scale:    1,
-			Ops:      3000,
-			Profile:  benchProfile,
-			SchemeN:  2, SchemeM: 4,
-			Seed: 1,
-		})
+		res, err := bench.Scenarios(benchOptions(3000))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,15 +230,7 @@ func BenchmarkScenarios(b *testing.B) {
 // injection.
 func BenchmarkInterference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Interference(bench.InterferenceOptions{
-			Workload: "tpcb",
-			Scale:    1,
-			Ops:      2000,
-			Profile:  benchProfile,
-			SchemeN:  2, SchemeM: 4,
-			InterferenceProb: 0.3,
-			Seed:             1,
-		})
+		res, err := bench.Interference(benchOptions(2000))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,8 +373,8 @@ func benchmarkEngineUpdate(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, 
 	b.ReportMetric(float64(s.GCErases), "gcErases")
 }
 
-// BenchmarkSnapshotReadMix runs one shrunken cell of the read-skew ladder
-// (`ipabench -exp concurrent` runs the full one): a 90%-read hot-set mix
+// BenchmarkSnapshotReadMix runs a shrunken read-skew ladder (`ipabench
+// -exp readmix` runs the full one) and reports its 90%-read hot-set mix,
 // executed once with MVCC snapshot reads and once with 2PL locked reads.
 // The tps gap between the two reported metrics is the lock-free-reader
 // win. Writes lock in both modes, so the snapshot row still acquires
@@ -431,18 +383,28 @@ func benchmarkEngineUpdate(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, 
 // TestReadersAcquireNoRecordLocks and TestReadMixScenario).
 func BenchmarkSnapshotReadMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := bench.DefaultReadMixOptions()
-		o.Goroutines = 4
-		o.ReadPcts = []int{90}
-		o.Tuples = 512
-		o.Ops = 600
-		o.Profile = bench.SmallProfile
+		entries, err := bench.Select("readmix")
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := entries[0].Options(true)
+		o.Threads, o.Tuples, o.Ops = 4, 512, 600
 		res, err := bench.ReadMix(o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			snap, lock := res.Rows[0], res.Rows[1]
+			var snap, lock bench.ReadMixRow
+			for _, row := range res.Rows {
+				if row.ReadPct != 90 {
+					continue
+				}
+				if row.Locked {
+					lock = row
+				} else {
+					snap = row
+				}
+			}
 			if snap.SnapshotReads == 0 {
 				b.Fatalf("snapshot row recorded no snapshot reads")
 			}

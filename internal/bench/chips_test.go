@@ -1,57 +1,14 @@
 package bench
 
 import (
-	"strings"
+	"fmt"
 	"testing"
-	"time"
 )
 
-// chipTestOptions is a shrunken ladder that still forces Flash traffic:
+// chipTestOptions is a shrunken chips run that still forces Flash traffic:
 // the working set is several times the buffer pool.
-func chipTestOptions(chips []int) ChipsOptions {
-	return ChipsOptions{
-		Chips:      chips,
-		Goroutines: 4,
-		Tuples:     4096,
-		TupleSize:  64,
-		Ops:        1200,
-		Profile:    SmallProfile,
-		TxnCPUCost: time.Microsecond,
-		Seed:       1,
-	}
-}
-
-// TestChipsScenario checks the accounting of every row of a short ladder.
-func TestChipsScenario(t *testing.T) {
-	res, err := Chips(chipTestOptions([]int{1, 2}))
-	if err != nil {
-		t.Fatalf("Chips: %v", err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Committed != 1200 {
-			t.Errorf("chips=%d committed %d, want 1200", row.Chips, row.Committed)
-		}
-		if row.VirtualTPS <= 0 || row.WallPerSec <= 0 {
-			t.Errorf("chips=%d reported no throughput", row.Chips)
-		}
-		if row.Stats.Chips != row.Chips || len(row.Stats.ChipStats) != row.Chips {
-			t.Errorf("chips=%d stats report %d chips", row.Chips, row.Stats.Chips)
-		}
-		if row.Balance <= 0 || row.Balance > 1 {
-			t.Errorf("chips=%d implausible balance %f", row.Chips, row.Balance)
-		}
-	}
-	if res.Rows[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %f, want 1", res.Rows[0].Speedup)
-	}
-	var sb strings.Builder
-	res.Write(&sb)
-	if !strings.Contains(sb.String(), "chips") {
-		t.Errorf("Write produced no table:\n%s", sb.String())
-	}
+func chipTestOptions(tb testing.TB, chips int) Options {
+	return quickOptions(tb, "chips", Options{Chips: chips, Threads: 4, Tuples: 4096, Ops: 1200})
 }
 
 // TestChipScalingImprovesVirtualThroughput is the acceptance check of the
@@ -59,17 +16,21 @@ func TestChipsScenario(t *testing.T) {
 // time on a 4-chip device than on a single chip, because the device clock
 // is the busiest chip's clock and the load stripes across the partitions.
 func TestChipScalingImprovesVirtualThroughput(t *testing.T) {
-	res, err := Chips(chipTestOptions([]int{1, 4}))
-	if err != nil {
-		t.Fatalf("Chips: %v", err)
+	var rows []ChipsRow
+	for _, chips := range []int{1, 4} {
+		res, err := Chips(chipTestOptions(t, chips))
+		if err != nil {
+			t.Fatalf("Chips: %v", err)
+		}
+		rows = append(rows, res.Rows[0])
 	}
-	one, four := res.Rows[0], res.Rows[1]
+	one, four := rows[0], rows[1]
 	if four.Virtual >= one.Virtual*7/10 {
 		t.Fatalf("4 chips should cut virtual time well below 1 chip: 1-chip=%s 4-chip=%s",
 			one.Virtual, four.Virtual)
 	}
-	if four.Speedup < 1.5 {
-		t.Fatalf("4-chip virtual throughput speedup %.2fx, want >= 1.5x", four.Speedup)
+	if speedup := four.VirtualTPS / one.VirtualTPS; speedup < 1.5 {
+		t.Fatalf("4-chip virtual throughput speedup %.2fx, want >= 1.5x", speedup)
 	}
 	// The stripe must actually use all chips.
 	if four.Balance < 0.25 {
@@ -81,8 +42,8 @@ func TestChipScalingImprovesVirtualThroughput(t *testing.T) {
 // chip counts (run with -benchtime to extend the ladder's op count).
 func BenchmarkChipScaling(b *testing.B) {
 	for _, chips := range []int{1, 2, 4} {
-		b.Run(benchName(chips), func(b *testing.B) {
-			o := chipTestOptions([]int{chips})
+		b.Run(fmt.Sprintf("chips-%d", chips), func(b *testing.B) {
+			o := chipTestOptions(b, chips)
 			o.Ops = 400 * b.N
 			res, err := Chips(o)
 			if err != nil {
@@ -93,8 +54,4 @@ func BenchmarkChipScaling(b *testing.B) {
 			b.ReportMetric(row.VirtualTPS, "virtual-tps")
 		})
 	}
-}
-
-func benchName(chips int) string {
-	return "chips-" + string(rune('0'+chips))
 }

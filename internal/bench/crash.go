@@ -9,29 +9,6 @@ import (
 	"ipa/internal/crash"
 )
 
-// CrashOptions configures the crash-torture experiment: a deterministic
-// power-cut sweep across every write path.
-type CrashOptions struct {
-	// Modes are the write paths tortured (default: all three).
-	Modes []ipa.WriteMode
-	// Ops is the number of transactions per run (0 = harness default).
-	Ops int
-	// Sample bounds the fault points tested per fault mode (0 = every
-	// enumerated point, the exhaustive sweep).
-	Sample int
-	// Chips is the device chip count (0 = 1).
-	Chips int
-	Seed  int64
-}
-
-// DefaultCrashOptions returns the exhaustive single-chip sweep.
-func DefaultCrashOptions() CrashOptions {
-	return CrashOptions{
-		Modes: []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash},
-		Seed:  7,
-	}
-}
-
 // CrashRow is the outcome of one write path's sweep, including the
 // aggregated time-to-recover of every successful Reopen: wall and virtual
 // recovery time, physical pages scanned by the chip-parallel FTL rebuild
@@ -63,13 +40,12 @@ func (r CrashResult) Failed() bool {
 	return false
 }
 
-// Crash runs the power-cut torture sweep for every requested write path.
-func Crash(o CrashOptions) (CrashResult, error) {
-	if len(o.Modes) == 0 {
-		o.Modes = []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash}
-	}
+// Crash runs the deterministic power-cut torture sweep on every write
+// path. o.Ops and o.Chips override the harness's transaction and chip
+// counts when set; o.Sample bounds the fault points per fault mode.
+func Crash(o Options) (CrashResult, error) {
 	var out CrashResult
-	for _, mode := range o.Modes {
+	for _, mode := range []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash} {
 		co := crash.DefaultOptions()
 		co.DB.WriteMode = mode
 		if o.Chips > 0 {
@@ -78,9 +54,7 @@ func Crash(o CrashOptions) (CrashResult, error) {
 		if o.Ops > 0 {
 			co.Ops = o.Ops
 		}
-		if o.Seed != 0 {
-			co.Seed = o.Seed
-		}
+		co.Seed = o.Seed
 		co.Sample = o.Sample
 		res, err := crash.Sweep(co)
 		if err != nil {

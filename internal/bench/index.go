@@ -3,35 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
+
+	"ipa"
 )
 
-// IndexOptions configures the index-maintenance experiment: the same
-// workload run with traditional out-of-place index persistence and with
-// IPA-native delta appends, comparing the physical Flash writes caused by
-// primary-key index maintenance.
-//
-// TATP is the headline workload (its insert/delete call-forwarding ops
-// churn the forwarding index in ~4 % of transactions); LinkBench adds a
-// second, insert-heavier shape.
-type IndexOptions struct {
-	// Workloads are the drivers compared (default tatp + linkbench).
-	Workloads []string
-	Scale     int
-	Ops       int
-	Duration  time.Duration
-	Profile   DeviceProfile
-	SchemeN   int
-	SchemeM   int
-	// IndexN/IndexM size the index-region scheme. An index entry insert
-	// patches ~20 body bytes (entry + slot), so index pages want wider
-	// records than heap pages (whose OLTP field updates are a few bytes).
-	IndexN int
-	IndexM int
-	Seed   int64
-}
-
-// IndexProfile is the device sizing of the index experiment: the default
+// IndexProfile is the device sizing of the index experiments: the default
 // device with a deliberately small buffer pool, so index maintenance
 // actually reaches Flash instead of being absorbed by the cache (a cache
 // big enough to hold every index page would leave nothing to measure).
@@ -42,20 +18,10 @@ var IndexProfile = DeviceProfile{
 	BufferPoolPages: 24,
 }
 
-// DefaultIndexOptions returns the configuration used by cmd/ipabench.
-func DefaultIndexOptions() IndexOptions {
-	return IndexOptions{
-		Workloads: []string{"tatp", "linkbench"},
-		Scale:     1,
-		Ops:       20000,
-		Profile:   IndexProfile,
-		SchemeN:   2,
-		SchemeM:   4,
-		IndexN:    4,
-		IndexM:    20,
-		Seed:      1,
-	}
-}
+// indexScheme sizes the index-region scheme (Config.IndexScheme). An index
+// entry insert patches ~20 body bytes (entry + slot), so index pages want
+// wider records than heap pages (whose OLTP field updates are a few bytes).
+var indexScheme = ipa.Scheme{N: 4, M: 20}
 
 // IndexRow is one (workload, write path) measurement.
 type IndexRow struct {
@@ -78,7 +44,8 @@ type IndexRow struct {
 
 // IndexResult bundles the comparison rows in presentation order.
 type IndexResult struct {
-	Rows []IndexRow
+	title string
+	Rows  []IndexRow
 }
 
 func makeIndexRow(workload, label string, res Result) IndexRow {
@@ -96,59 +63,65 @@ func makeIndexRow(workload, label string, res Result) IndexRow {
 	}
 }
 
-// Index runs the index-maintenance comparison.
-func Index(o IndexOptions) (IndexResult, error) {
-	if len(o.Workloads) == 0 {
-		o.Workloads = []string{"tatp", "linkbench"}
-	}
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Ops <= 0 && o.Duration <= 0 {
-		o.Ops = 8000
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
-	if o.IndexN == 0 && o.IndexM == 0 {
-		o.IndexN, o.IndexM = 4, 20
-	}
-	scheme := ipaScheme(o.SchemeN, o.SchemeM)
-	idxScheme := ipaScheme(o.IndexN, o.IndexM)
-	var out IndexResult
-	for _, w := range o.Workloads {
-		base := Experiment{
-			Name: "index-oop-" + w, Workload: w, Scale: o.Scale,
-			Mode: modeTraditional, Flash: flashMLC,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed,
-		}.ApplyProfile(o.Profile)
-		native := Experiment{
-			Name: "index-ipa-" + w, Workload: w, Scale: o.Scale,
-			Mode: modeNative, Scheme: scheme, IndexScheme: idxScheme, Flash: flashPSLC,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed,
-		}.ApplyProfile(o.Profile)
-		baseRes, err := Run(base)
+// Index runs the primary-key index-maintenance comparison: each workload
+// with traditional out-of-place index persistence and with IPA-native
+// delta appends. TATP is the headline workload (its insert/delete
+// call-forwarding ops churn the forwarding index in ~4 % of transactions);
+// LinkBench adds a second, insert-heavier shape.
+func Index(o Options) (IndexResult, error) {
+	return indexMaintenance(o, "index",
+		"Index maintenance: out-of-place vs IPA delta appends (primary-key entry pages)",
+		"tatp", "linkbench")
+}
+
+// Secondary runs the same comparison on secondary-heavy workloads, so the
+// KindIndex counters cover the secondary entry pages (plus the mostly idle
+// primary key). "secchurn" is the isolation workload — its primary keys
+// never change during the run, so it measures (almost) pure secondary
+// churn; "tatpsec" (sub_nbr lookups + call-forwarding churn) and
+// "linkbenchsec" (assoc-by-id2) add realistic shapes.
+func Secondary(o Options) (IndexResult, error) {
+	return indexMaintenance(o, "secondary",
+		"Secondary-index maintenance: out-of-place vs IPA delta appends (entry pages)",
+		"secchurn", "tatpsec", "linkbenchsec")
+}
+
+// indexMaintenance runs every workload out of place and with IPA, naming
+// the runs prefix-oop-<workload> and prefix-ipa-<workload>.
+func indexMaintenance(o Options, prefix, title string, workloads ...string) (IndexResult, error) {
+	out := IndexResult{title: title}
+	for _, w := range workloads {
+		base := o.baseline(prefix+"-oop-"+w, w)
+		base.Analytic = false
+		baseRes, err := RunWithDB(base, nil)
 		if err != nil {
 			return out, err
 		}
 		out.Rows = append(out.Rows, makeIndexRow(w, "out-of-place", baseRes))
-		nativeRes, err := Run(native)
+		native := o.experiment(prefix+"-ipa-"+w, w, ipa.IPANativeFlash, ipa.PSLC)
+		native.Analytic = false
+		native.IndexScheme = indexScheme
+		nativeRes, err := RunWithDB(native, nil)
 		if err != nil {
 			return out, err
 		}
-		out.Rows = append(out.Rows, makeIndexRow(w, fmt.Sprintf("IPA %s", idxScheme), nativeRes))
+		out.Rows = append(out.Rows, makeIndexRow(w, fmt.Sprintf("IPA %s", indexScheme), nativeRes))
 	}
 	return out, nil
 }
 
-// Write renders the comparison.
+// Write renders the comparison; the workload column fits the longest name.
 func (r IndexResult) Write(w io.Writer) {
-	fmt.Fprintf(w, "Index maintenance: out-of-place vs IPA delta appends (primary-key entry pages)\n")
-	fmt.Fprintf(w, "%-10s %-12s %12s %12s %14s %12s %14s %10s\n",
-		"workload", "write path", "idx evicts", "idx appends", "idx page wr", "idx deltas", "deltas/merge", "tps")
+	width := 0
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %-12s %12d %12d %14d %12d %14.1f %10.1f\n",
-			row.Workload, row.Label, row.IndexPageWrites, row.IndexInPlace,
+		width = max(width, len(row.Workload)+1)
+	}
+	fmt.Fprintln(w, r.title)
+	fmt.Fprintf(w, "%-*s %-12s %12s %12s %14s %12s %14s %10s\n",
+		width, "workload", "write path", "idx evicts", "idx appends", "idx page wr", "idx deltas", "deltas/merge", "tps")
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "%-*s %-12s %12d %12d %14d %12d %14.1f %10.1f\n",
+			width, row.Workload, row.Label, row.IndexPageWrites, row.IndexInPlace,
 			row.IndexOutOfPlace, row.IndexDeltas, row.DeltasPerMerge, row.Throughput)
 	}
 }

@@ -10,8 +10,12 @@
 //   - The IPA vs In-Page Logging comparison (trace replay).
 //   - The longevity estimate and the N×M scheme sweep ablation.
 //
-// Every experiment returns structured results and can render itself as a
-// plain-text table comparable with the paper.
+// Beside them it runs the engine's own scenarios: the demonstration
+// scenarios, program interference, index maintenance, YCSB, the
+// concurrency and chip ladders and the crash torture. Every experiment
+// takes the one Options type and returns a structured result that renders
+// itself as a plain-text table; Registry lists each experiment once with
+// its defaults and quick-run overrides.
 package bench
 
 import (
@@ -48,11 +52,8 @@ type Experiment struct {
 	Ops      int
 	Duration time.Duration
 
-	// Device sizing (zero values select the defaults of DeviceProfile).
-	PageSize        int
-	Blocks          int
-	PagesPerBlock   int
-	BufferPoolPages int
+	// Profile sizes the device (zero selects DefaultProfile).
+	Profile DeviceProfile
 
 	// Analytic enables per-eviction byte accounting; TraceEvictions
 	// records the trace needed for the IPL comparison.
@@ -72,7 +73,9 @@ type DeviceProfile struct {
 	BufferPoolPages int
 }
 
-// DefaultProfile is used when an Experiment leaves the sizing fields zero.
+// DefaultProfile is the device of every experiment run without -quick
+// (the index experiments shrink its pool), and of an Experiment that
+// leaves Profile zero.
 var DefaultProfile = DeviceProfile{
 	PageSize:        8 * 1024,
 	Blocks:          128,
@@ -80,7 +83,7 @@ var DefaultProfile = DeviceProfile{
 	BufferPoolPages: 128,
 }
 
-// SmallProfile is a reduced sizing for unit tests and Go benchmarks. It is
+// SmallProfile is the reduced sizing of -quick runs and unit tests. It is
 // large enough that the pSLC configurations (which halve the capacity)
 // still have ample headroom over the scale-1/2 data sets.
 var SmallProfile = DeviceProfile{
@@ -146,18 +149,9 @@ func NewWorkload(name string, scale int, seed int64) (workload.Workload, error) 
 
 // config builds the engine configuration for an experiment.
 func (e Experiment) config() ipa.Config {
-	p := DefaultProfile
-	if e.PageSize > 0 {
-		p.PageSize = e.PageSize
-	}
-	if e.Blocks > 0 {
-		p.Blocks = e.Blocks
-	}
-	if e.PagesPerBlock > 0 {
-		p.PagesPerBlock = e.PagesPerBlock
-	}
-	if e.BufferPoolPages > 0 {
-		p.BufferPoolPages = e.BufferPoolPages
+	p := e.Profile
+	if p == (DeviceProfile{}) {
+		p = DefaultProfile
 	}
 	return ipa.Config{
 		PageSize:        p.PageSize,
@@ -174,86 +168,45 @@ func (e Experiment) config() ipa.Config {
 	}
 }
 
-// ApplyProfile fills the sizing fields of e from p (explicit fields win).
-func (e Experiment) ApplyProfile(p DeviceProfile) Experiment {
-	if e.PageSize == 0 {
-		e.PageSize = p.PageSize
-	}
-	if e.Blocks == 0 {
-		e.Blocks = p.Blocks
-	}
-	if e.PagesPerBlock == 0 {
-		e.PagesPerBlock = p.PagesPerBlock
-	}
-	if e.BufferPoolPages == 0 {
-		e.BufferPoolPages = p.BufferPoolPages
-	}
-	return e
-}
-
-// Run executes one experiment: open a fresh database, load the workload,
-// reset the counters and run the measurement phase.
-func Run(e Experiment) (Result, error) {
-	if e.Ops <= 0 && e.Duration <= 0 {
-		return Result{}, fmt.Errorf("bench: experiment %q needs Ops or Duration", e.Name)
-	}
-	db, err := ipa.Open(e.config())
+// openLoaded opens a database with cfg, loads w and resets the counters,
+// returning the virtual time the load consumed.
+func openLoaded(cfg ipa.Config, w workload.Workload) (*ipa.DB, time.Duration, error) {
+	db, err := ipa.Open(cfg)
 	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s: %w", e.Name, err)
-	}
-	defer db.Close()
-
-	w, err := NewWorkload(e.Workload, e.Scale, e.Seed)
-	if err != nil {
-		return Result{}, err
+		return nil, 0, err
 	}
 	loadStart := db.Now()
 	if err := w.Load(db); err != nil {
-		return Result{}, fmt.Errorf("bench: %s load: %w", e.Name, err)
+		db.Close()
+		return nil, 0, fmt.Errorf("load: %w", err)
 	}
 	loadTime := db.Now() - loadStart
 	db.ResetStats()
-
-	run, err := workload.Run(db, w, workload.RunOptions{
-		MaxOps:   e.Ops,
-		Duration: e.Duration,
-		Seed:     e.Seed + 1,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s run: %w", e.Name, err)
-	}
-	if err := db.FlushAll(); err != nil {
-		return Result{}, fmt.Errorf("bench: %s flush: %w", e.Name, err)
-	}
-	return Result{
-		Experiment: e,
-		Stats:      db.Stats(),
-		Run:        run,
-		LoadTime:   loadTime,
-	}, nil
+	return db, loadTime, nil
 }
 
-// RunWithDB is like Run but gives the caller access to the database after
-// the measurement (e.g. to fetch the eviction trace).
+// RunWithDB executes one experiment: open a fresh database, load the
+// workload, reset the counters and run the measurement phase. A non-nil
+// use is handed the database after the measurement (e.g. to fetch the
+// eviction trace).
 func RunWithDB(e Experiment, use func(db *ipa.DB, res Result) error) (Result, error) {
-	if e.Ops <= 0 && e.Duration <= 0 {
-		return Result{}, fmt.Errorf("bench: experiment %q needs Ops or Duration", e.Name)
-	}
-	db, err := ipa.Open(e.config())
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s: %w", e.Name, err)
-	}
-	defer db.Close()
 	w, err := NewWorkload(e.Workload, e.Scale, e.Seed)
 	if err != nil {
 		return Result{}, err
 	}
-	loadStart := db.Now()
-	if err := w.Load(db); err != nil {
-		return Result{}, fmt.Errorf("bench: %s load: %w", e.Name, err)
+	return runWorkload(e, w, use)
+}
+
+// runWorkload is RunWithDB on an already built workload driver.
+func runWorkload(e Experiment, w workload.Workload, use func(db *ipa.DB, res Result) error) (Result, error) {
+	if e.Ops <= 0 && e.Duration <= 0 {
+		return Result{}, fmt.Errorf("bench: experiment %q needs Ops or Duration", e.Name)
 	}
-	loadTime := db.Now() - loadStart
-	db.ResetStats()
+	db, loadTime, err := openLoaded(e.config(), w)
+	if err != nil {
+		return Result{}, fmt.Errorf("bench: %s: %w", e.Name, err)
+	}
+	defer db.Close()
 	run, err := workload.Run(db, w, workload.RunOptions{MaxOps: e.Ops, Duration: e.Duration, Seed: e.Seed + 1})
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: %s run: %w", e.Name, err)

@@ -251,6 +251,13 @@ func (h *Handle) MarkDirty() {
 	s.mu.Unlock()
 }
 
+// Flush writes the page back to storage if it is dirty. It requires an
+// exclusive handle; because the handle still pins the page, no eviction
+// can write it back or drop it first. The handle stays valid.
+func (h *Handle) Flush() error {
+	return h.shard.writeBackLatched(&h.shard.frames[h.idx])
+}
+
 // stampLocked returns the current recLSN stamp. The caller holds the
 // shard mutex.
 func (s *shard) stampLocked() uint64 {
@@ -479,22 +486,7 @@ func (p *Pool) FlushPage(pid uint64) error {
 func (s *shard) flushFrame(idx int) error {
 	f := &s.frames[idx]
 	f.latch.Lock()
-	s.mu.Lock()
-	dirty := f.valid && f.dirty
-	s.mu.Unlock()
-	var err error
-	if dirty {
-		// The latch keeps the page image stable; the shard mutex is not
-		// held across the store so unrelated pages stay accessible.
-		err = s.io.StorePage(f.pid, f.data, f.tracker)
-	}
-	s.mu.Lock()
-	if err == nil && dirty {
-		f.dirty = false
-		f.recLSN = 0
-		s.stats.Flushes++
-	}
-	s.mu.Unlock()
+	err := s.writeBackLatched(f)
 	// Mirror Handle.Release: drop the latch before the pin so that, under
 	// the shard mutex, pin == 0 implies the latch is free.
 	f.latch.Unlock()
@@ -504,6 +496,27 @@ func (s *shard) flushFrame(idx int) error {
 	}
 	s.mu.Unlock()
 	return err
+}
+
+// writeBackLatched stores f if it is dirty. The caller pins f and holds
+// its latch exclusively, which keeps the page image stable; the shard
+// mutex is not held across the store so unrelated pages stay accessible.
+func (s *shard) writeBackLatched(f *frame) error {
+	s.mu.Lock()
+	dirty := f.valid && f.dirty
+	s.mu.Unlock()
+	if !dirty {
+		return nil
+	}
+	if err := s.io.StorePage(f.pid, f.data, f.tracker); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	f.dirty = false
+	f.recLSN = 0
+	s.stats.Flushes++
+	s.mu.Unlock()
+	return nil
 }
 
 // FlushAll writes every dirty cached page back to storage.

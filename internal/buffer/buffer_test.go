@@ -226,6 +226,47 @@ func TestFlushAllAndFlushPage(t *testing.T) {
 	}
 }
 
+// TestHandleFlushWhilePinned: a handle writes its own page back before it
+// releases the pin, so the page is durable even if an eviction takes the
+// frame the moment the pin drops (the path FlushPage-after-Release lost
+// with ErrNotCached).
+func TestHandleFlushWhilePinned(t *testing.T) {
+	io := newMemIO(64)
+	io.seed(1, 1)
+	io.seed(2, 2)
+	pool, _ := New(io, 1)
+	h, err := pool.Fetch(1)
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	h.Data()[0] = 0xEE
+	h.MarkDirty()
+	if err := h.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if io.pages[1][0] != 0xEE {
+		t.Fatalf("Handle.Flush did not persist")
+	}
+	stores := io.stores
+	if err := h.Flush(); err != nil || io.stores != stores {
+		t.Fatalf("flushing a clean handle stored again (err %v)", err)
+	}
+	h.Release()
+	// The single frame is now evicted by another page: the flushed image
+	// was clean, so the eviction stores nothing.
+	h2, err := pool.Fetch(2)
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	h2.Release()
+	if io.stores != stores {
+		t.Fatalf("eviction of a flushed page stored it again")
+	}
+	if s := pool.Stats(); s.Flushes != 1 {
+		t.Fatalf("Flushes = %d, want 1", s.Flushes)
+	}
+}
+
 func TestLoadFailureLeavesPoolConsistent(t *testing.T) {
 	io := newMemIO(64)
 	pool, _ := New(io, 2)

@@ -16,13 +16,16 @@ func scanConfig(plan *nand.FaultPlan) Config {
 
 func TestScanPageClassifiesErasedAndTagged(t *testing.T) {
 	d := mustDevice(t, testConfig())
-	buf := make([]byte, 2048)
+	buf := make([]byte, 2048) // zeroed: the scan must overwrite every byte
 	scan, err := d.ScanPage(0, 0, buf)
 	if err != nil {
 		t.Fatalf("scan erased: %v", err)
 	}
 	if scan.Programmed || scan.Tagged || scan.Torn {
 		t.Fatalf("erased page misclassified: %+v", scan)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0xFF}, len(buf))) {
+		t.Fatalf("erased page image is not all 0xFF")
 	}
 
 	data := pattern(2048, 1)

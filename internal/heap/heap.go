@@ -172,7 +172,14 @@ func (f *File) withPageShared(pid uint64, fn func(pg *page.Page) error) error {
 
 // Insert stores a tuple and returns its RID. Tuples must have the file's
 // fixed size.
-func (f *File) Insert(tuple []byte) (RID, error) {
+func (f *File) Insert(tuple []byte) (RID, error) { return f.InsertLogged(tuple, nil) }
+
+// InsertLogged is Insert for a write-ahead-logged file: a non-nil log runs
+// with the new RID while the page is still pinned and latched, so the log
+// record it appends exists before any eviction can write the tuple to
+// Flash (the eviction's WAL barrier then makes it durable first). If log
+// fails, the tuple is deleted again and its error returned.
+func (f *File) InsertLogged(tuple []byte, log func(RID) error) (RID, error) {
 	if len(tuple) != f.tupleSize {
 		return RID{}, fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
 	}
@@ -181,7 +188,7 @@ func (f *File) Insert(tuple []byte) (RID, error) {
 
 	// Try the most recently allocated page first.
 	if n := len(f.pages); n > 0 {
-		rid, ok, err := f.tryInsertLocked(f.pages[n-1], tuple)
+		rid, ok, err := f.tryInsertLocked(f.pages[n-1], tuple, log)
 		if err != nil {
 			return RID{}, err
 		}
@@ -207,35 +214,47 @@ func (f *File) Insert(tuple []byte) (RID, error) {
 		return RID{}, err
 	}
 	pg.SetRecorder(h.Tracker())
-	slot, err := pg.InsertTuple(tuple)
+	f.pages = append(f.pages, pid)
+	rid, err := insertInto(h, pg, tuple, log)
 	if err != nil {
 		return RID{}, err
 	}
-	h.MarkDirty()
-	f.pages = append(f.pages, pid)
 	f.count++
-	return RID{PageID: pid, Slot: uint16(slot)}, nil
+	return rid, nil
 }
 
 // tryInsertLocked attempts to insert into an existing page; ok is false if
 // the page is full.
-func (f *File) tryInsertLocked(pid uint64, tuple []byte) (RID, bool, error) {
+func (f *File) tryInsertLocked(pid uint64, tuple []byte, log func(RID) error) (RID, bool, error) {
 	var rid RID
 	var ok bool
 	err := f.withPage(pid, func(h *buffer.Handle, pg *page.Page) error {
 		if pg.FreeSpace() < len(tuple)+page.SlotSize {
 			return nil
 		}
-		slot, err := pg.InsertTuple(tuple)
-		if err != nil {
-			return err
-		}
-		h.MarkDirty()
-		rid = RID{PageID: pid, Slot: uint16(slot)}
-		ok = true
-		return nil
+		var err error
+		rid, err = insertInto(h, pg, tuple, log)
+		ok = err == nil
+		return err
 	})
 	return rid, ok, err
+}
+
+// insertInto adds tuple to the latched page h and runs log, if any, before
+// the caller releases the page.
+func insertInto(h *buffer.Handle, pg *page.Page, tuple []byte, log func(RID) error) (RID, error) {
+	slot, err := pg.InsertTuple(tuple)
+	if err != nil {
+		return RID{}, err
+	}
+	h.MarkDirty()
+	rid := RID{PageID: h.PID(), Slot: uint16(slot)}
+	if log != nil {
+		if err := log(rid); err != nil {
+			return RID{}, errors.Join(err, pg.DeleteTuple(slot))
+		}
+	}
+	return rid, nil
 }
 
 // Get returns a copy of the tuple at rid.

@@ -196,3 +196,39 @@ func TestObjectIDAndTupleSize(t *testing.T) {
 		t.Fatalf("accessors wrong: %d %d", f.ObjectID(), f.TupleSize())
 	}
 }
+
+// TestInsertLoggedRunsLogBeforeRelease: the log callback sees the new RID
+// while the page is still pinned (a one-frame pool cannot evict it to make
+// room for anything else), and a failing callback deletes the tuple again.
+func TestInsertLoggedRunsLogBeforeRelease(t *testing.T) {
+	f, pool := testFile(t, 64, 1)
+	var logged RID
+	rid, err := f.InsertLogged(tuple(64, 1), func(r RID) error {
+		logged = r
+		if _, err := pool.Fetch(r.PageID + 1000); !errors.Is(err, buffer.ErrNoFrames) {
+			t.Errorf("page evictable inside log: fetch of another page gave %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("InsertLogged: %v", err)
+	}
+	if logged != rid {
+		t.Fatalf("log saw %v, insert returned %v", logged, rid)
+	}
+	boom := errors.New("log full")
+	if _, err := f.InsertLogged(tuple(64, 2), func(RID) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("InsertLogged error = %v, want the log error", err)
+	}
+	if got := f.Count(); got != 1 {
+		t.Fatalf("count %d after a failed logged insert, want 1", got)
+	}
+	if err := f.Scan(func(r RID, _ []byte) bool {
+		if r != rid {
+			t.Errorf("unlogged tuple %v survived", r)
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+}

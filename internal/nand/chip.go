@@ -237,10 +237,10 @@ func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, p
 		if err != nil {
 			return err
 		}
-		if act == actTorn {
-			return c.tornProgram(pg, dataOff, data, oobOff, oob, partial)
-		}
 	}
+	// The refusals below come before any cell changes, whether or not the
+	// power fails during the command: a program the device refuses leaves
+	// the page untouched, so a torn one must not land a prefix either.
 	if blk.wornOut {
 		return fmt.Errorf("%w: block %d", ErrWornOut, b)
 	}
@@ -262,6 +262,9 @@ func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, p
 			c.stats.OverwriteDenied++
 			return fmt.Errorf("%w: block %d page %d", ErrOverwriteViolation, b, p)
 		}
+	}
+	if act == actTorn {
+		return c.tornProgram(pg, dataOff, data, oobOff, oob, partial)
 	}
 	programBits(pg.data[dataOff:dataOff+len(data)], data)
 	if len(oob) > 0 {
@@ -289,9 +292,8 @@ func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, p
 
 // tornProgram applies a power-cut-interrupted program: deterministic
 // prefixes of the data and OOB bytes reach the cells (with the physical AND
-// semantics, no StrictOverwrite policing — the bits land wherever the
-// charge pump got to), everything else stays untouched. The caller holds
-// the chip mutex.
+// semantics), everything else stays untouched. The caller holds the chip
+// mutex and has already applied the device's refusals.
 func (c *Chip) tornProgram(pg *page, dataOff int, data []byte, oobOff int, oob []byte, partial bool) error {
 	g := c.cfg.Geometry
 	kd := c.cfg.Faults.tornLen(len(data))

@@ -106,6 +106,36 @@ func TestTornProgramPersistsPrefixOnly(t *testing.T) {
 	}
 }
 
+// TestTornRefusedProgramLeavesPageUntouched: a re-program the device
+// refuses (it would need 0->1 transitions) changes no cell, and power
+// failing during it must not land a prefix of it either. The conventional-
+// SSD write path relies on the refusal to fall back to an out-of-place
+// write; a torn prefix here used to corrupt a page whose previous image
+// was still the only durable copy.
+func TestTornRefusedProgramLeavesPageUntouched(t *testing.T) {
+	plan := NewFaultPlan(0, CrashBefore) // passive for the first program
+	c := faultChip(t, plan)
+	first := bytes.Repeat([]byte{0x0F}, 256)
+	if err := c.Program(0, 0, first, nil); err != nil {
+		t.Fatalf("program: %v", err)
+	}
+	plan.Arm(1, CrashTorn)
+	if err := c.Program(0, 0, bytes.Repeat([]byte{0xF0}, 256), nil); err == nil {
+		t.Fatalf("violating torn re-program succeeded")
+	}
+	if !plan.Tripped() {
+		t.Fatalf("the refused program must still count as the fault point")
+	}
+	plan.PowerCycle()
+	got := make([]byte, 256)
+	if err := c.ReadPage(0, 0, got, nil); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !bytes.Equal(got, first) {
+		t.Fatalf("refused torn program changed the page")
+	}
+}
+
 func TestCrashAfterPersistsEverything(t *testing.T) {
 	plan := NewFaultPlan(1, CrashAfter)
 	c := faultChip(t, plan)

@@ -417,6 +417,11 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 	l.mu.Lock()
 	lsn = l.clampLocked(lsn)
 	if lsn <= l.flushedLSN {
+		// An earlier flush already made this commit durable: it is served
+		// by that flush and counts towards its batch.
+		if commit {
+			l.gcStats.FlushedCommits++
+		}
 		l.mu.Unlock()
 		return nil
 	}

@@ -982,8 +982,9 @@ func (db *DB) writeCatalog(ckptLSN, cut uint64) error {
 			return err
 		}
 		h.MarkDirty()
+		err = h.Flush()
 		h.Release()
-		return db.pool.FlushPage(pid)
+		return err
 	}
 	pid, err := db.store.AllocatePage(catalogObjectID)
 	if err != nil {
@@ -1006,8 +1007,9 @@ func (db *DB) writeCatalog(ckptLSN, cut uint64) error {
 		return err
 	}
 	h.MarkDirty()
+	err = h.Flush()
 	h.Release()
-	if err := db.pool.FlushPage(pid); err != nil {
+	if err != nil {
 		return err
 	}
 	db.catalogPID.Store(pid + 1)

@@ -175,7 +175,14 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 	if v, ok := t.pk.Get(key); ok && !t.db.txns.Versions().CommittedDeleted(v) {
 		return fmt.Errorf("%w: %d", ErrDuplicateKey, key)
 	}
-	rid, err := t.heap.Insert(tuple)
+	// The insert record is logged while the heap page is still latched:
+	// an eviction between the insert and its record (a concurrent reader
+	// can trigger one) would otherwise put a tuple on Flash that neither
+	// redo nor undo knows about.
+	rid, err := t.heap.InsertLogged(tuple, func(rid heap.RID) error {
+		_, err := tx.inner.LogInsert(t.id, rid.PageID, rid.Slot, tuple)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -186,9 +193,6 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 	// an index entry: the chain marks the tuple uncommitted-by-us, so
 	// snapshot readers see the key as absent until we commit.
 	t.db.txns.Versions().OnInsert(rid.Pack(), tx.inner.ID())
-	if _, err := tx.inner.LogInsert(t.id, rid.PageID, rid.Slot, tuple); err != nil {
-		return err
-	}
 	if _, err := tx.inner.LogIndexInsert(t.idxID, key, rid.Pack()); err != nil {
 		return err
 	}
