@@ -23,6 +23,7 @@ type CrashRow struct {
 	CkptCovered bool                  `json:"checkpoint_covered"`
 	Recovery    crash.RecoverySummary `json:"recovery"`
 	Failures    []string              `json:"failures"`
+	Untripped   []string              `json:"untripped"` // runs whose fault point was never reached
 }
 
 // CrashResult is the full torture outcome.
@@ -70,6 +71,7 @@ func Crash(o Options) (CrashResult, error) {
 			CkptCovered: res.CkptCovered,
 			Recovery:    res.Recovery,
 			Failures:    res.Failures,
+			Untripped:   res.Untripped,
 		})
 	}
 	return out, nil
@@ -78,11 +80,11 @@ func Crash(o Options) (CrashResult, error) {
 // Write renders the torture outcome, including the mean time-to-recover.
 func (r CrashResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Power-cut torture: crash at every fault point, reopen, verify\n")
-	fmt.Fprintf(w, "%-14s %12s %10s %10s %10s %10s %10s\n",
-		"write path", "fault points", "runs", "crashes", "gc hit", "ckpt hit", "failures")
+	fmt.Fprintf(w, "%-14s %12s %10s %10s %10s %10s %10s %10s\n",
+		"write path", "fault points", "runs", "crashes", "untripped", "gc hit", "ckpt hit", "failures")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-14s %12d %10d %10d %10v %10v %10d\n",
-			row.Mode, row.FaultPoints, row.Runs, row.Crashes, row.GCCovered, row.CkptCovered, len(row.Failures))
+		fmt.Fprintf(w, "%-14s %12d %10d %10d %10d %10v %10v %10d\n",
+			row.Mode, row.FaultPoints, row.Runs, row.Crashes, len(row.Untripped), row.GCCovered, row.CkptCovered, len(row.Failures))
 	}
 	fmt.Fprintf(w, "Time-to-recover (mean per Reopen):\n")
 	fmt.Fprintf(w, "%-14s %12s %12s %12s %14s %14s %14s\n",

@@ -175,6 +175,9 @@ type Result struct {
 	CkptCovered bool // some crash happened after a checkpoint completed
 	Recovery    RecoverySummary
 	Failures    []string
+	// Untripped lists the runs whose fault point was never reached
+	// ("point k/total (mode)"); they recovered from a clean crash.
+	Untripped []string
 }
 
 // Failed reports whether any invariant was violated.
@@ -480,38 +483,45 @@ type readerPool struct {
 }
 
 // startReaders launches n goroutines that repeatedly audit the TPC-B
-// conservation invariant through lock-free snapshot reads. A reader exits
-// on the first device error (the injected power cut reaches readers too)
-// or on the first violation, which stopAndJoin reports.
+// conservation invariant through lock-free snapshot reads. It returns once
+// every reader holds its first snapshot, so each reader completes at least
+// one pass however quickly the writer finishes. A reader exits on the
+// first device error (the injected power cut reaches readers too) or on
+// the first violation, which stopAndJoin reports.
 func (d *driver) startReaders(n int) *readerPool {
 	p := &readerPool{stop: make(chan struct{})}
+	var ready sync.WaitGroup
+	ready.Add(n)
 	for i := 0; i < n; i++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
+			tx := d.db.Begin()
+			ready.Done()
 			for {
+				if err := d.audit(tx); err != nil {
+					// A power loss means the fault fired and the device is
+					// gone; anything else is a violation.
+					if !isPowerLoss(err) && !errors.Is(err, ipa.ErrClosed) {
+						p.mu.Lock()
+						if p.violation == nil {
+							p.violation = err
+						}
+						p.mu.Unlock()
+					}
+					return
+				}
+				p.passes.Add(1)
 				select {
 				case <-p.stop:
 					return
 				default:
 				}
-				err := d.auditOnce()
-				if err == nil {
-					p.passes.Add(1)
-					continue
-				}
-				if isPowerLoss(err) || errors.Is(err, ipa.ErrClosed) {
-					return // the fault fired; the device is gone
-				}
-				p.mu.Lock()
-				if p.violation == nil {
-					p.violation = err
-				}
-				p.mu.Unlock()
-				return
+				tx = d.db.Begin()
 			}
 		}()
 	}
+	ready.Wait()
 	return p
 }
 
@@ -525,13 +535,12 @@ func (p *readerPool) stopAndJoin() error {
 	return p.violation
 }
 
-// auditOnce sums every account, teller and branch balance inside ONE read
-// transaction — a single MVCC snapshot — and checks that the three delta
-// sums agree and describe a prefix of the attempted commits. The
+// audit sums every account, teller and branch balance inside the read
+// transaction tx — a single MVCC snapshot — and checks that the three
+// delta sums agree and describe a prefix of the attempted commits. The
 // transaction is aborted, not committed: a read-only abort touches no
 // device (no log flush), so readers add no fault points of their own.
-func (d *driver) auditOnce() error {
-	tx := d.db.Begin()
+func (d *driver) audit(tx *ipa.Tx) error {
 	defer func() { _ = tx.Abort() }()
 	sum := func(t *ipa.Table, n int) (int64, error) {
 		var s int64
@@ -759,6 +768,11 @@ func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, erro
 		d.db.Close()
 		return out, fmt.Errorf("workload: %w", runErr)
 	}
+	if !out.Tripped {
+		// Readers shift the program count, so point k may lie past the
+		// end of this run. Left armed, it would fire inside Reopen.
+		plan.Disarm()
+	}
 	stats := d.db.Stats()
 	out.GCRuns = stats.GCRuns
 	img := d.db.Crash()
@@ -817,6 +831,8 @@ func Sweep(o Options) (Result, error) {
 				if out.Checkpoints > 0 {
 					res.CkptCovered = true
 				}
+			} else {
+				res.Untripped = append(res.Untripped, fmt.Sprintf("point %d/%d (%v)", k, total, mode))
 			}
 			if out.Recovery != (ipa.RecoveryStats{}) {
 				res.Recovery.Recoveries++

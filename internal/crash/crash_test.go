@@ -88,3 +88,32 @@ func TestCrashSweepSample(t *testing.T) {
 		res.FaultPoints, res.Runs, res.Crashes, res.GCCovered, res.Checkpoints,
 		res.Recovery.FromCheckpoint, res.Recovery.Recoveries, res.Recovery.RecordsRedone)
 }
+
+// TestUntrippedPointIsDisarmed runs one fault point past the end of the
+// enumerated run: the fault never fires during the workload, and it must
+// not fire later inside Reopen either. Readers are off so the run repeats
+// the enumeration exactly; with them, reader-driven evictions can add
+// programs and trip the point after all.
+func TestUntrippedPointIsDisarmed(t *testing.T) {
+	for _, mode := range []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash} {
+		t.Run(mode.String(), func(t *testing.T) {
+			o := DefaultOptions()
+			o.DB.WriteMode = mode
+			o.Ops = 30
+			o.Readers = -1
+			total, err := Enumerate(o)
+			if err != nil {
+				t.Fatalf("enumerate: %v", err)
+			}
+			for _, fm := range []ipa.FaultMode{ipa.CrashBefore, ipa.CrashTorn, ipa.CrashAfter} {
+				_, tripped, err := RunPoint(o, total+1, fm)
+				if err != nil {
+					t.Fatalf("point %d (%v): %v", total+1, fm, err)
+				}
+				if tripped {
+					t.Fatalf("point %d (%v) is past the run's %d fault points but tripped", total+1, fm, total)
+				}
+			}
+		})
+	}
+}

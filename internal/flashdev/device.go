@@ -486,15 +486,10 @@ func verifyInitial(buf, oob []byte) (int, error) {
 	if ecc.Blank(code) {
 		return 0, nil
 	}
-	region := coveredRegion(buf, coverLen, tailLen)
-	res, err := ecc.Decode(region, code)
+	head, foot := coveredSegments(buf, coverLen, tailLen)
+	res, err := ecc.DecodeSplit(head, foot, code)
 	if err != nil {
 		return 0, err
-	}
-	if res.Corrected > 0 && tailLen > 0 {
-		// Decode corrected the assembled copy; mirror it back.
-		copy(buf[:coverLen], region[:coverLen])
-		copy(buf[len(buf)-tailLen:], region[coverLen:])
 	}
 	return res.Corrected, nil
 }
@@ -575,15 +570,12 @@ func (d *Device) ProgramPageTagged(block, page int, data []byte, eccCover, eccTa
 	return d.programPage(block, page, data, eccCover, eccTail, encodeTag(lba, seq))
 }
 
-// coveredRegion assembles the bytes protected by the initial ECC: the
-// leading cover bytes plus the trailing tail bytes of the page image.
-func coveredRegion(data []byte, cover, tail int) []byte {
-	if tail <= 0 {
-		return data[:cover]
-	}
-	region := make([]byte, 0, cover+tail)
-	region = append(region, data[:cover]...)
-	return append(region, data[len(data)-tail:]...)
+// coveredSegments returns the two segments of a page image protected by
+// the initial ECC: the leading cover bytes and the trailing tail bytes. The
+// code is computed and checked on them in place, as one region, so a
+// corrected bit lands directly in the page image.
+func coveredSegments(page []byte, cover, tail int) (head, foot []byte) {
+	return page[:cover], page[len(page)-tail:]
 }
 
 func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int, tag []byte) error {
@@ -617,7 +609,7 @@ func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int
 		if !d.cfg.DisableECC && oobLen >= oobInitialOff+ecc.CodeSize {
 			binary.LittleEndian.PutUint16(oob[0:oobCoverLenSize], uint16(eccCover))
 			binary.LittleEndian.PutUint16(oob[oobCoverLenSize:oobInitialOff], uint16(eccTail))
-			copy(oob[oobInitialOff:], ecc.Encode(coveredRegion(data, eccCover, eccTail)))
+			copy(oob[oobInitialOff:], ecc.EncodeSplit(coveredSegments(data, eccCover, eccTail)))
 		}
 		if tag != nil && oobLen == oobSlotsOff {
 			copy(oob[oobTagOff:], tag)

@@ -98,15 +98,11 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 		case coverLen+tailLen > len(buf):
 			scan.Torn = true
 		default:
-			region := coveredRegion(buf, coverLen, tailLen)
-			if res, err := ecc.Decode(region, code); err != nil {
+			head, foot := coveredSegments(buf, coverLen, tailLen)
+			if res, err := ecc.DecodeSplit(head, foot, code); err != nil {
 				scan.Torn = true
 			} else {
 				scan.BodyValid = true
-				if res.Corrected > 0 && tailLen > 0 {
-					copy(buf[:coverLen], region[:coverLen])
-					copy(buf[len(buf)-tailLen:], region[coverLen:])
-				}
 				d.countCorrected(res.Corrected)
 			}
 		}

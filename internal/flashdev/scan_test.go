@@ -134,3 +134,48 @@ func TestScanPageDetectsTornDeltaAppend(t *testing.T) {
 	// bytes persisted) or torn; a persisted OOB prefix must flag Torn.
 	t.Logf("torn append scan: %+v", scan)
 }
+
+// TestSplitCoverCorrectsInPlace flips one bit in the leading cover and,
+// on another page, one in the trailing tail of a split initial ECC; both
+// ReadPage and ScanPage must repair the bit directly in the caller's
+// buffer. The cover length is not a multiple of 8, so the tail's bits sit
+// at unaligned region offsets.
+func TestSplitCoverCorrectsInPlace(t *testing.T) {
+	const cover, tail = 1021, 19
+	for _, off := range []int{517, 2048 - 7} {
+		d := mustDevice(t, testConfig())
+		data := pattern(2048, 5)
+		for i := cover; i < 2048-tail; i++ {
+			data[i] = 0xFF
+		}
+		if data[off] == 0 {
+			data[off] = 0x10
+		}
+		if err := d.ProgramPageTagged(0, 3, data, cover, tail, 9, 1); err != nil {
+			t.Fatalf("program: %v", err)
+		}
+		// Clear the lowest set bit of data[off] behind the device's back.
+		flipped := []byte{data[off] & (data[off] - 1)}
+		if err := d.chips[0].ProgramPartial(0, 3, off, flipped, 0, nil); err != nil {
+			t.Fatalf("disturb: %v", err)
+		}
+		buf := make([]byte, 2048)
+		if err := d.ReadPage(0, 3, buf); err != nil {
+			t.Fatalf("offset %d: read: %v", off, err)
+		}
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("offset %d: ReadPage did not repair the flipped bit", off)
+		}
+		clear(buf)
+		scan, err := d.ScanPage(0, 3, buf)
+		if err != nil || !scan.BodyValid || scan.Torn {
+			t.Fatalf("offset %d: scan %+v, err %v", off, scan, err)
+		}
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("offset %d: ScanPage did not repair the flipped bit", off)
+		}
+		if got := d.Stats().CorrectedBits; got != 2 {
+			t.Fatalf("offset %d: %d corrected bits, want 2", off, got)
+		}
+	}
+}

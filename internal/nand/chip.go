@@ -1,6 +1,8 @@
 package nand
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -322,11 +324,17 @@ func (c *Chip) tornProgram(pg *page, dataOff int, data []byte, oobOff int, oob [
 }
 
 // violatesOverwrite reports whether programming new over old would require
-// any 0->1 transition.
+// any 0->1 transition: a 1 bit in new where old already has a 0 bit. old
+// must be at least as long as new. It compares 64 bits at a time.
 func violatesOverwrite(old, new []byte) bool {
+	old = old[:len(new)]
+	for len(new) >= 8 {
+		if binary.LittleEndian.Uint64(new)&^binary.LittleEndian.Uint64(old) != 0 {
+			return true
+		}
+		old, new = old[8:], new[8:]
+	}
 	for i := range new {
-		// A violation exists where new has a 1 bit in a position where
-		// old already has a 0 bit.
 		if new[i]&^old[i] != 0 {
 			return true
 		}
@@ -335,8 +343,14 @@ func violatesOverwrite(old, new []byte) bool {
 }
 
 // programBits applies the physical programming rule: the stored value is
-// the bitwise AND of the existing charge state and the new data.
+// the bitwise AND of the existing charge state and the new data. It works
+// 64 bits at a time.
 func programBits(dst, src []byte) {
+	dst = dst[:len(src)]
+	for len(src) >= 8 {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)&binary.LittleEndian.Uint64(src))
+		dst, src = dst[8:], src[8:]
+	}
 	for i := range src {
 		dst[i] &= src[i]
 	}
@@ -436,11 +450,7 @@ func (c *Chip) WornOut(b int) (bool, error) {
 
 // erasedBytes returns a fresh buffer in the erased (all 0xFF) state.
 func erasedBytes(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = 0xFF
-	}
-	return b
+	return bytes.Repeat([]byte{0xFF}, n)
 }
 
 // prng is a small deterministic xorshift* generator used for fault

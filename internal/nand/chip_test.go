@@ -387,13 +387,44 @@ func TestProgramMonotonicityProperty(t *testing.T) {
 
 func TestViolatesOverwriteProperty(t *testing.T) {
 	// violatesOverwrite(old, new) must be true exactly when new has a 1 bit
-	// where old has a 0 bit.
-	f := func(old, new byte) bool {
-		got := violatesOverwrite([]byte{old}, []byte{new})
-		want := new&^old != 0
-		return got == want
+	// where old has a 0 bit, and programBits must store old AND new, on
+	// slices of any length at any offset, whether the offending bit falls
+	// in a whole word or in the trailing bytes.
+	f := func(old, new []byte, skip uint8, flip uint16) bool {
+		n := min(len(old), len(new))
+		start := int(skip) % (n + 1)
+		old, new = old[start:n], new[start:n]
+		// Random bytes nearly always violate; clear new's offending bits so
+		// the no-violation case is exercised too, then restore one of them.
+		want := false
+		for i := range new {
+			if new[i]&^old[i] != 0 {
+				want = true
+			}
+		}
+		if flip%2 == 0 && len(new) > 0 {
+			for i := range new {
+				new[i] &= old[i]
+			}
+			want = false
+			if i := int(flip/2) % len(new); old[i] != 0xFF {
+				new[i] |= ^old[i] & -^old[i] // lowest 0 bit of old
+				want = true
+			}
+		}
+		if violatesOverwrite(old, new) != want {
+			return false
+		}
+		dst := append([]byte(nil), old...)
+		programBits(dst, new)
+		for i := range dst {
+			if dst[i] != old[i]&new[i] {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatalf("violatesOverwrite property: %v", err)
 	}
 }
@@ -406,5 +437,30 @@ func TestDefaultConfigDefaults(t *testing.T) {
 	slc := Config{Geometry: DefaultGeometry(), Cell: SLC}.withDefaults()
 	if slc.EnduranceCycles <= cfg.EnduranceCycles {
 		t.Fatalf("SLC endurance should exceed MLC endurance")
+	}
+}
+
+func BenchmarkViolatesOverwrite8K(b *testing.B) {
+	old, new := erasedBytes(8192), make([]byte, 8192)
+	b.SetBytes(8192)
+	for b.Loop() {
+		if violatesOverwrite(old, new) {
+			b.Fatal("programming 0s over erased cells cannot violate")
+		}
+	}
+}
+
+func BenchmarkProgramBits8K(b *testing.B) {
+	dst, src := erasedBytes(8192), erasedBytes(8192)
+	b.SetBytes(8192)
+	for b.Loop() {
+		programBits(dst, src)
+	}
+}
+
+func BenchmarkErasedBytes8K(b *testing.B) {
+	b.SetBytes(8192)
+	for b.Loop() {
+		erasedBytes(8192)
 	}
 }
