@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"ipa"
+	"ipa/internal/wal"
 )
 
 func checkpointConfig() ipa.Config {
@@ -272,13 +274,13 @@ func TestDoubleCrashDuringCheckpoint(t *testing.T) {
 }
 
 // TestWALSegmentRecycling drives sustained load through periodic
-// checkpoints with tiny log segments and checks the live log stays
-// bounded: truncation recycles whole segments in O(1) while the total
-// bytes ever written keep growing.
+// checkpoints across many log segments and checks the live log stays
+// bounded and flat: truncation drops whole segments in O(1) while the
+// total bytes ever written keep growing.
 func TestWALSegmentRecycling(t *testing.T) {
+	const seg = wal.DefaultSegmentBytes
 	cfg := checkpointConfig()
 	cfg.Blocks = 96
-	cfg.WALSegmentBytes = 4096
 	db, err := ipa.Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -293,8 +295,12 @@ func TestWALSegmentRecycling(t *testing.T) {
 		binary.LittleEndian.PutUint64(b, uint64(k))
 		return b
 	}
+	// About 400 log bytes per transaction: 1,600 of them write more than
+	// eight segments.
+	const txns, ckptEvery = 1600, 20
 	lastCut := uint64(0)
-	for k := int64(0); k < 200; k++ {
+	var live []uint64 // WALLiveBytes after each checkpoint
+	for k := int64(0); k < txns; k++ {
 		tx := db.Begin()
 		if err := tx.Insert(tbl, k, row(k)); err != nil {
 			t.Fatalf("Insert %d: %v", k, err)
@@ -302,7 +308,7 @@ func TestWALSegmentRecycling(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("Commit %d: %v", k, err)
 		}
-		if (k+1)%20 != 0 {
+		if (k+1)%ckptEvery != 0 {
 			continue
 		}
 		res, err := db.Checkpoint()
@@ -317,15 +323,16 @@ func TestWALSegmentRecycling(t *testing.T) {
 			t.Fatalf("live log not bounded: %d segments after checkpoint (cut %d)",
 				res.WALSegments, res.TruncatedLSN)
 		}
-		if res.WALLiveBytes > 3*4096 {
+		if res.WALLiveBytes > 3*seg {
 			t.Fatalf("live log not bounded: %d bytes after checkpoint", res.WALLiveBytes)
 		}
+		live = append(live, res.WALLiveBytes)
 	}
 	if lastCut == 0 {
 		t.Fatalf("checkpoints never advanced the truncation cut")
 	}
 	s := db.Stats()
-	if s.WALBytes < 4*4096 {
+	if s.WALBytes < 8*seg {
 		t.Fatalf("workload too small to exercise recycling: %d WAL bytes written", s.WALBytes)
 	}
 	if s.CheckpointLSN == 0 || s.WALSegments > 3 {
@@ -334,6 +341,12 @@ func TestWALSegmentRecycling(t *testing.T) {
 	if s.WALBytesSinceCheckpoint > s.WALBytes/2 {
 		t.Fatalf("bytes-since-checkpoint gauge did not reset: %d of %d total",
 			s.WALBytesSinceCheckpoint, s.WALBytes)
+	}
+	// Flat, not just bounded: the live log late in the run is no larger
+	// than early on, give or take the one segment truncation may retain.
+	q := len(live) / 4
+	if early, late := slices.Max(live[:q]), slices.Max(live[len(live)-q:]); late > early+seg {
+		t.Fatalf("live log grows over the run: max %d bytes in the first quarter, %d in the last", early, late)
 	}
 }
 

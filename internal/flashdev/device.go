@@ -89,9 +89,6 @@ type Config struct {
 	Chip nand.Config
 	// Latency is the timing model driving the virtual clock.
 	Latency LatencyModel
-	// DisableECC turns off ECC generation and verification (useful for
-	// micro-benchmarks isolating the ECC cost).
-	DisableECC bool
 }
 
 // DefaultConfig returns a single-chip device with default geometry and
@@ -464,7 +461,7 @@ func (d *Device) ReadPage(block, page int, buf []byte) error {
 	d.pageReads.Add(1)
 	d.bytesFromDevice.Add(uint64(len(buf)))
 	d.advance(chipIdx, d.cfg.Latency.PageRead+d.cfg.Latency.transfer(len(buf)))
-	if d.cfg.DisableECC || g.OOBSize == 0 {
+	if g.OOBSize == 0 {
 		return nil
 	}
 	return d.verify(buf, oob)
@@ -592,7 +589,7 @@ func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int
 	}
 	d.hook(chipIdx, nand.OpProgram)
 	oobLen := 0
-	if !d.cfg.DisableECC && g.OOBSize >= oobInitialOff+ecc.CodeSize {
+	if g.OOBSize >= oobInitialOff+ecc.CodeSize {
 		oobLen = oobInitialOff + ecc.CodeSize
 	}
 	if tag != nil && g.OOBSize >= oobSlotsOff {
@@ -606,7 +603,7 @@ func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int
 		for i := range oob {
 			oob[i] = 0xFF
 		}
-		if !d.cfg.DisableECC && oobLen >= oobInitialOff+ecc.CodeSize {
+		if oobLen >= oobInitialOff+ecc.CodeSize {
 			binary.LittleEndian.PutUint16(oob[0:oobCoverLenSize], uint16(eccCover))
 			binary.LittleEndian.PutUint16(oob[oobCoverLenSize:oobInitialOff], uint16(eccTail))
 			copy(oob[oobInitialOff:], ecc.EncodeSplit(coveredSegments(data, eccCover, eccTail)))
@@ -644,7 +641,7 @@ func (d *Device) ProgramDelta(block, page, offset int, delta []byte) (int, error
 	slot := -1
 	var oobOff int
 	var oobData []byte
-	if !d.cfg.DisableECC && g.OOBSize > 0 {
+	if g.OOBSize > 0 {
 		// Find the first blank delta slot.
 		oob := make([]byte, g.OOBSize)
 		if err := chip.ReadPage(b, page, nil, oob); err != nil {
@@ -686,7 +683,7 @@ func (d *Device) FreeDeltaSlots(block, page int) (int, error) {
 	}
 	g := d.cfg.Chip.Geometry
 	geo := d.Geometry()
-	if d.cfg.DisableECC || g.OOBSize == 0 {
+	if g.OOBSize == 0 {
 		return geo.DeltaSlots, nil
 	}
 	oob := make([]byte, g.OOBSize)

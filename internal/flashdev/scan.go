@@ -67,7 +67,6 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 
 	if g.OOBSize < oobSlotsOff {
 		// No room for a mapping tag on this geometry: nothing recoverable.
-		scan.BodyValid = d.cfg.DisableECC
 		return scan, nil
 	}
 
@@ -85,58 +84,52 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 	}
 
 	// Initially programmed region (leading cover plus trailing tail).
-	if d.cfg.DisableECC {
-		scan.BodyValid = true
-	} else {
-		coverLen := int(binary.LittleEndian.Uint16(oob[0:oobCoverLenSize]))
-		tailLen := int(binary.LittleEndian.Uint16(oob[oobCoverLenSize:oobInitialOff]))
-		code := oob[oobInitialOff : oobInitialOff+ecc.CodeSize]
-		switch {
-		case coverLen == blankLen || tailLen == blankLen || ecc.Blank(code):
-			// The program never finished writing its header: torn.
+	coverLen := int(binary.LittleEndian.Uint16(oob[0:oobCoverLenSize]))
+	tailLen := int(binary.LittleEndian.Uint16(oob[oobCoverLenSize:oobInitialOff]))
+	code := oob[oobInitialOff : oobInitialOff+ecc.CodeSize]
+	switch {
+	case coverLen == blankLen || tailLen == blankLen || ecc.Blank(code):
+		// The program never finished writing its header: torn.
+		scan.Torn = true
+	case coverLen+tailLen > len(buf):
+		scan.Torn = true
+	default:
+		head, foot := coveredSegments(buf, coverLen, tailLen)
+		if res, err := ecc.DecodeSplit(head, foot, code); err != nil {
 			scan.Torn = true
-		case coverLen+tailLen > len(buf):
-			scan.Torn = true
-		default:
-			head, foot := coveredSegments(buf, coverLen, tailLen)
-			if res, err := ecc.DecodeSplit(head, foot, code); err != nil {
-				scan.Torn = true
-			} else {
-				scan.BodyValid = true
-				d.countCorrected(res.Corrected)
-			}
+		} else {
+			scan.BodyValid = true
+			d.countCorrected(res.Corrected)
 		}
 	}
 
 	// Delta-record slots: count the verified prefix; anything programmed
 	// at or after the first invalid slot marks the page torn.
-	if !d.cfg.DisableECC {
-		geo := d.Geometry()
-		for s := 0; s < geo.DeltaSlots; s++ {
-			off := oobSlotsOff + s*DeltaSlotSize
-			slot := oob[off : off+DeltaSlotSize]
-			if ecc.Blank(slot) {
-				continue
-			}
-			if s != scan.Records {
-				// Programmed slot after an invalid/blank one.
-				scan.Torn = true
-				continue
-			}
-			dOff := int(binary.LittleEndian.Uint16(slot[0:2]))
-			dLen := int(binary.LittleEndian.Uint16(slot[2:4]))
-			if dOff+dLen > len(buf) {
-				scan.Torn = true
-				continue
-			}
-			res, err := ecc.Decode(buf[dOff:dOff+dLen], slot[deltaSlotHeader:])
-			if err != nil {
-				scan.Torn = true
-				continue
-			}
-			d.countCorrected(res.Corrected)
-			scan.Records++
+	geo := d.Geometry()
+	for s := 0; s < geo.DeltaSlots; s++ {
+		off := oobSlotsOff + s*DeltaSlotSize
+		slot := oob[off : off+DeltaSlotSize]
+		if ecc.Blank(slot) {
+			continue
 		}
+		if s != scan.Records {
+			// Programmed slot after an invalid/blank one.
+			scan.Torn = true
+			continue
+		}
+		dOff := int(binary.LittleEndian.Uint16(slot[0:2]))
+		dLen := int(binary.LittleEndian.Uint16(slot[2:4]))
+		if dOff+dLen > len(buf) {
+			scan.Torn = true
+			continue
+		}
+		res, err := ecc.Decode(buf[dOff:dOff+dLen], slot[deltaSlotHeader:])
+		if err != nil {
+			scan.Torn = true
+			continue
+		}
+		d.countCorrected(res.Corrected)
+		scan.Records++
 	}
 	return scan, nil
 }

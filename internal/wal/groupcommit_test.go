@@ -31,6 +31,36 @@ func TestCommitFlushMakesDurable(t *testing.T) {
 	}
 }
 
+// TestFlushWritesWholeAppendedTail pins the log writer's contract: a
+// flush returns once the requested LSN is durable, and its device write
+// covers everything appended so far, so a commit that a later record
+// already followed into the log is served without another write.
+func TestFlushWritesWholeAppendedTail(t *testing.T) {
+	l := New()
+	lsn1 := appendCommit(l, 1)
+	lsn2 := appendCommit(l, 2)
+	if err := l.CommitFlush(lsn1); err != nil {
+		t.Fatal(err)
+	}
+	if l.FlushedLSN() != lsn2 {
+		t.Fatalf("FlushedLSN = %d, want the appended tail %d", l.FlushedLSN(), lsn2)
+	}
+	if want := uint64(2 * Record{Type: RecCommit}.EncodedSize()); l.BytesWritten() != want {
+		t.Fatalf("BytesWritten = %d, want both records' %d", l.BytesWritten(), want)
+	}
+	before := l.GroupCommitStats()
+	if err := l.CommitFlush(lsn2); err != nil {
+		t.Fatal(err)
+	}
+	after := l.GroupCommitStats()
+	if after.Flushes != before.Flushes {
+		t.Fatalf("commit already durable must not write again: %+v -> %+v", before, after)
+	}
+	if after.FlushedCommits != before.FlushedCommits+1 {
+		t.Fatalf("served commit not counted: %+v -> %+v", before, after)
+	}
+}
+
 // TestGroupCommitBatchesFollowers drives the leader/follower pipeline
 // deterministically: while the leader is writing the log device (blocked
 // inside the flush hook), followers queue up and must be served by a

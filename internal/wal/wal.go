@@ -15,9 +15,13 @@
 // that log volume can be accounted and recovery can be tested end to end.
 // Records live in fixed-size segments: appends go to the active tail
 // segment, sealed segments are immutable, and checkpoint truncation drops
-// whole sealed segments in O(1) and recycles their backing arrays for new
-// tails, so a long-running engine's log memory stays bounded by the
+// whole sealed segments in O(1), leaving their records to the garbage
+// collector, so a long-running engine's log memory stays bounded by the
 // checkpoint interval instead of growing with history.
+//
+// Every flush writes the whole appended tail, as a DBMS log writer does:
+// the bytes of a flush are the difference of two monotone byte offsets,
+// appended and durable, so its cost does not depend on the log's length.
 package wal
 
 import (
@@ -210,28 +214,16 @@ func (s GroupCommitStats) CommitsPerFlush() float64 {
 }
 
 // DefaultSegmentBytes is the seal threshold of a log segment: once the
-// active tail accumulates this many encoded bytes it is sealed and a new
-// tail (recycled from a previously truncated segment when possible) takes
-// over. Checkpoint truncation drops whole sealed segments.
+// active tail accumulates this many encoded bytes it is sealed and a new,
+// empty tail takes over. Checkpoint truncation drops whole sealed segments.
 const DefaultSegmentBytes = 64 << 10
-
-// maxRecycledSegments bounds the free list of truncated segment arrays
-// kept for reuse as future tails.
-const maxRecycledSegments = 4
 
 // segment is one run of consecutive log records. Only the last segment of
 // a log accepts appends; earlier segments are sealed and immutable, which
-// is what makes whole-segment truncation and array recycling safe.
+// is what makes whole-segment truncation safe.
 type segment struct {
 	records []Record
-	bytes   int // sum of EncodedSize over records
-}
-
-func (s *segment) firstLSN() uint64 {
-	if len(s.records) == 0 {
-		return 0
-	}
-	return s.records[0].LSN
+	start   uint64 // the log's appended byte offset when the segment opened
 }
 
 func (s *segment) lastLSN() uint64 {
@@ -250,12 +242,15 @@ func (s *segment) lastLSN() uint64 {
 type Log struct {
 	mu           sync.Mutex
 	segs         []*segment // LSN order; the last segment is the active tail
-	segBytes     int
-	free         [][]Record // recycled arrays from truncated segments
-	liveBytes    uint64
-	truncatedLSN uint64 // highest LSN discarded by Truncate
+	segBytes     int        // seal threshold (DefaultSegmentBytes)
+	truncatedLSN uint64     // highest LSN discarded by Truncate
 	nextLSN      uint64
 	flushedLSN   uint64
+	// appended and durable are byte offsets into the log's encoded
+	// stream: the end of the last appended record and the end of the
+	// last durable one. A flush writes exactly appended - durable bytes.
+	appended     uint64
+	durable      uint64
 	bytesWritten uint64
 
 	// Group-commit state: waiters queue while a leader's flush is in
@@ -290,6 +285,7 @@ func NewFromRecords(records []Record, flushedLSN uint64) *Log {
 			l.nextLSN = r.LSN + 1
 		}
 	}
+	l.durable = l.appended
 	if flushedLSN >= l.nextLSN {
 		l.nextLSN = flushedLSN + 1
 	}
@@ -304,27 +300,11 @@ func NewFromRecords(records []Record, flushedLSN uint64) *Log {
 // log is shared between goroutines.
 func (l *Log) SetFlushHook(fn func(bytes int) error) { l.flushHook = fn }
 
-// SetSegmentBytes overrides the segment seal threshold (tests use small
-// segments to exercise truncation). It must be called before the log is
-// shared between goroutines.
-func (l *Log) SetSegmentBytes(n int) {
-	if n <= 0 {
-		n = DefaultSegmentBytes
-	}
-	l.mu.Lock()
-	l.segBytes = n
-	l.mu.Unlock()
-}
-
-// sealLocked closes the active tail and opens a fresh one, reusing a
-// truncated segment's array when one is available.
+// sealLocked closes the active tail and opens a fresh, empty one, sized
+// for as many records as the sealed one holds.
 func (l *Log) sealLocked() {
-	var recs []Record
-	if n := len(l.free); n > 0 {
-		recs = l.free[n-1]
-		l.free = l.free[:n-1]
-	}
-	l.segs = append(l.segs, &segment{records: recs})
+	n := len(l.segs[len(l.segs)-1].records)
+	l.segs = append(l.segs, &segment{records: make([]Record, 0, n), start: l.appended})
 }
 
 // appendSealedLocked appends a record (which already carries its LSN) to
@@ -332,10 +312,8 @@ func (l *Log) sealLocked() {
 func (l *Log) appendSealedLocked(r Record) {
 	tail := l.segs[len(l.segs)-1]
 	tail.records = append(tail.records, r)
-	sz := r.EncodedSize()
-	tail.bytes += sz
-	l.liveBytes += uint64(sz)
-	if tail.bytes >= l.segBytes {
+	l.appended += uint64(r.EncodedSize())
+	if l.appended-tail.start >= uint64(l.segBytes) {
 		l.sealLocked()
 	}
 }
@@ -350,40 +328,6 @@ func (l *Log) Append(r Record) uint64 {
 	return r.LSN
 }
 
-// pendingBytesLocked sums the encoded size of the records in
-// (flushedLSN, upTo]. Records are appended in LSN order, so whole
-// already-flushed segments are skipped and the first unflushed record in
-// the boundary segment is found by binary search. The caller holds the
-// log mutex.
-func (l *Log) pendingBytesLocked(upTo uint64) int {
-	bytes := 0
-	for _, s := range l.segs {
-		if len(s.records) == 0 || s.lastLSN() <= l.flushedLSN {
-			continue
-		}
-		recs := s.records
-		if s.firstLSN() <= l.flushedLSN {
-			lo, hi := 0, len(recs)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if recs[mid].LSN <= l.flushedLSN {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			recs = recs[lo:]
-		}
-		for _, r := range recs {
-			if r.LSN > upTo {
-				return bytes
-			}
-			bytes += r.EncodedSize()
-		}
-	}
-	return bytes
-}
-
 // clampLocked resolves upTo == 0 / out-of-range to the last appended LSN.
 func (l *Log) clampLocked(upTo uint64) uint64 {
 	if upTo == 0 || upTo >= l.nextLSN {
@@ -392,8 +336,8 @@ func (l *Log) clampLocked(upTo uint64) uint64 {
 	return upTo
 }
 
-// Flush makes all appended records durable up to the given LSN (or all
-// records if upTo is zero) and accounts the flushed bytes. It is the
+// Flush makes all appended records durable at least up to the given LSN
+// (or all records if upTo is zero) and accounts the flushed bytes. It is the
 // stand-alone flush used by checkpoints, the eviction write-ahead barrier
 // and recovery tests; transaction commits go through CommitFlush. Both
 // share one flush pipeline, so concurrent callers never account the same
@@ -411,8 +355,10 @@ func (l *Log) Flush(upTo uint64) error { return l.flush(upTo, false) }
 func (l *Log) CommitFlush(lsn uint64) error { return l.flush(lsn, true) }
 
 // flush is the shared leader/follower pipeline behind Flush and
-// CommitFlush. Only commit callers count towards the group-commit batch
-// statistics.
+// CommitFlush. The leader's device write covers the whole appended tail,
+// (flushedLSN, nextLSN-1] as of the start of its batch, which includes
+// every queued waiter's LSN. Only commit callers count towards the
+// group-commit batch statistics.
 func (l *Log) flush(lsn uint64, commit bool) error {
 	l.mu.Lock()
 	lsn = l.clampLocked(lsn)
@@ -438,17 +384,14 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 	for {
 		batch := l.waiters
 		l.waiters = nil
-		target := uint64(0)
 		commits := uint64(0)
 		for _, bw := range batch {
-			if bw.lsn > target {
-				target = bw.lsn
-			}
 			if bw.commit {
 				commits++
 			}
 		}
-		bytes := l.pendingBytesLocked(target)
+		target, end := l.nextLSN-1, l.appended
+		bytes := int(end - l.durable)
 		hook := l.flushHook
 		l.mu.Unlock()
 		// One log-device write for the whole batch. New callers arriving
@@ -461,9 +404,7 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 		l.mu.Lock()
 		if hookErr == nil {
 			l.bytesWritten += uint64(bytes)
-			if target > l.flushedLSN {
-				l.flushedLSN = target
-			}
+			l.flushedLSN, l.durable = target, end
 		} else {
 			// The write never reached the log device: the whole batch is
 			// lost. Every waiter learns its records are not durable.
@@ -557,7 +498,7 @@ func (l *Log) BytesWritten() uint64 {
 func (l *Log) LiveBytes() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.liveBytes
+	return l.appended - l.segs[0].start
 }
 
 // Segments returns the number of live segments (sealed plus the active
@@ -626,9 +567,10 @@ func (l *Log) RecordsFor(txnID uint64) []Record {
 
 // Truncate discards whole segments whose records all have LSN <= upTo
 // (checkpointing: upTo is the cut below the oldest undo any recovery could
-// need). Truncation is segment-granular — a segment straddling the cut is
-// retained in full, which is safe because replay is idempotent — and O(1)
-// per dropped segment; dropped arrays are recycled as future tails.
+// need, which is durable). Truncation is segment-granular — a segment
+// straddling the cut is retained in full, which is safe because replay is
+// idempotent — and O(1) per dropped segment. A tail that lies wholly at or
+// below the cut is sealed and dropped too, leaving a fresh empty tail.
 func (l *Log) Truncate(upTo uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -641,10 +583,7 @@ func (l *Log) Truncate(upTo uint64) {
 			break
 		}
 		l.truncatedLSN = s.lastLSN()
-		l.liveBytes -= uint64(s.bytes)
-		if len(l.free) < maxRecycledSegments {
-			l.free = append(l.free, s.records[:0])
-		}
+		l.segs[0] = nil // let the collector reclaim the dropped records
 		l.segs = l.segs[1:]
 	}
 }
@@ -890,7 +829,7 @@ func undoRecords(recs []Record, a Analysis, ap Applier) (int, error) {
 //
 // cut is the last checkpoint's truncation LSN (0 = replay everything):
 // records at or below it are skipped even when they physically survive —
-// segment recycling only drops whole leading segments, so the tail
+// truncation only drops whole leading segments, so the tail
 // segment usually still carries pre-checkpoint records. Skipping is safe
 // because the checkpoint force-flushed every page those records touched
 // before it became durable, and the cut sits below the first LSN of every

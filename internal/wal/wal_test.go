@@ -289,7 +289,7 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 
 func TestSegmentsSealTruncateAndRecycle(t *testing.T) {
 	l := New()
-	l.SetSegmentBytes(200) // a few records per segment
+	l.segBytes = 200 // a few records per segment
 	var lsns []uint64
 	for i := 0; i < 40; i++ {
 		lsns = append(lsns, l.Append(Record{TxnID: 1, Type: RecUpdate, PageID: uint64(i), Old: []byte{1}, New: []byte{2}}))
@@ -317,8 +317,7 @@ func TestSegmentsSealTruncateAndRecycle(t *testing.T) {
 	if first := recs[0].LSN; first != l.TruncatedLSN()+1 {
 		t.Fatalf("records must restart right above the truncated LSN: first %d, truncated %d", first, l.TruncatedLSN())
 	}
-	// Appends after truncation continue with fresh LSNs and reuse
-	// recycled segment arrays.
+	// Appends after truncation continue with fresh LSNs.
 	segsBefore := l.Segments()
 	lsn := l.Append(Record{TxnID: 2, Type: RecCommit})
 	if lsn != lsns[len(lsns)-1]+1 {

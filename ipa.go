@@ -201,8 +201,6 @@ type Config struct {
 	TraceEvictions bool
 	// Seed drives deterministic fault injection.
 	Seed int64
-	// DisableECC turns off ECC simulation.
-	DisableECC bool
 	// Faults, if non-nil, attaches a deterministic power-cut schedule to
 	// the device and the log-device flush path: the K-th program, erase or
 	// log flush fails (optionally torn mid-operation) and every operation
@@ -215,17 +213,10 @@ type Config struct {
 	// since the last one (default 0: no background checkpointer; call
 	// DB.Checkpoint explicitly).
 	CheckpointEveryBytes uint64
-	// CheckpointInterval additionally (or alternatively) takes a fuzzy
-	// checkpoint on a wall-clock period (default 0: disabled).
-	CheckpointInterval time.Duration
 	// RecoveryParallelism is the number of redo workers Reopen partitions
 	// the post-checkpoint log across, by heap page / index object (default
 	// 4). 1 selects the serial replay used as the oracle in tests.
 	RecoveryParallelism int
-	// WALSegmentBytes overrides the log segment seal threshold (default
-	// 64 KiB). Checkpoint truncation recycles whole segments, so smaller
-	// segments give it finer grain; tests use tiny ones.
-	WALSegmentBytes int
 	// StatsInterval starts the background ops sampler: every interval one
 	// counter snapshot is pushed onto the trailing ring that backs the
 	// windowed rates and the lifetime burn gauge (DB.Ops, DB.SampleOps;
@@ -367,8 +358,7 @@ func Open(cfg Config) (*DB, error) {
 			StrictOverwrite:  true,
 			Faults:           cfg.Faults,
 		},
-		Latency:    flashdev.DefaultLatencyModel(),
-		DisableECC: cfg.DisableECC,
+		Latency: flashdev.DefaultLatencyModel(),
 	}
 	dev, err := flashdev.New(devCfg)
 	if err != nil {
@@ -488,7 +478,6 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 	// the checkpointer flushes dirty pages oldest-recLSN-first so the
 	// truncation cut advances as far as possible.
 	pool.SetLSNSource(log.NextLSN)
-	log.SetSegmentBytes(cfg.WALSegmentBytes)
 	if cfg.LogFlushLatency > 0 || cfg.LogFlushWallLatency > 0 || cfg.Faults != nil {
 		// Model the separate log device: every flush batch costs one
 		// device write — of virtual time and, optionally, of real time the
@@ -1019,7 +1008,7 @@ func (db *DB) writeCatalog(ckptLSN, cut uint64) error {
 // startCheckpointer launches the flush-behind checkpointer goroutine when
 // the configuration asks for one.
 func (db *DB) startCheckpointer() {
-	if db.cfg.CheckpointEveryBytes == 0 && db.cfg.CheckpointInterval <= 0 {
+	if db.cfg.CheckpointEveryBytes == 0 {
 		return
 	}
 	db.ckptStop = make(chan struct{})
@@ -1027,27 +1016,21 @@ func (db *DB) startCheckpointer() {
 	go db.checkpointLoop()
 }
 
-// checkpointLoop is the flush-behind checkpointer: it polls the WAL growth
-// and takes a fuzzy checkpoint whenever CheckpointEveryBytes have
-// accumulated since the last one, or unconditionally every
-// CheckpointInterval. It exits on Close/Crash or on the first checkpoint
-// error (after a power cut every flash operation fails; recovery restarts
-// a fresh checkpointer).
+// checkpointLoop is the flush-behind checkpointer: every 10 ms it polls
+// the WAL growth and takes a fuzzy checkpoint whenever
+// CheckpointEveryBytes have accumulated since the last one. It exits on
+// Close/Crash or on the first checkpoint error (after a power cut every
+// flash operation fails; recovery restarts a fresh checkpointer).
 func (db *DB) checkpointLoop() {
 	defer close(db.ckptDone)
-	period := db.cfg.CheckpointInterval
-	byTime := period > 0
-	if !byTime {
-		period = 10 * time.Millisecond // byte-threshold polling cadence
-	}
-	ticker := time.NewTicker(period)
+	ticker := time.NewTicker(10 * time.Millisecond)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-db.ckptStop:
 			return
 		case <-ticker.C:
-			if !byTime && db.log.BytesWritten()-db.walBytesAtCkpt.Load() < db.cfg.CheckpointEveryBytes {
+			if db.log.BytesWritten()-db.walBytesAtCkpt.Load() < db.cfg.CheckpointEveryBytes {
 				continue
 			}
 			if _, err := db.Checkpoint(); err != nil {
